@@ -5,7 +5,9 @@ Usage:
       [--scale F] [--etc-budget-seconds 120] [--distributed AD]
 
 ``--distributed`` lists analogs on which the (slow at this scale) dataflow
-builder is also run; default none.
+builder is also run; default none. Under each analog's row the table prints
+the sequential builder's stats: PR1 probes and prunes, PR2 prunes, PR3 cuts
+and entries recorded.
 """
 import argparse
 import os

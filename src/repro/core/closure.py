@@ -31,6 +31,7 @@ from pyspark.sql.types import BooleanType, StringType
 
 from repro.core import labels as lab
 from repro.core.graph import LabeledGraph
+from repro.core.index import check_query_constraints
 
 udf_mr = F.udf(lambda seq: lab.encode(lab.mr(tuple(seq))), StringType())
 udf_is_primitive = F.udf(lambda seq: lab.is_primitive(tuple(seq)), BooleanType())
@@ -180,6 +181,9 @@ class EtcIndex:
         return int(row or 0)
 
     def query_batch(self, queries: DataFrame) -> DataFrame:
+        """Answer a batch of queries ``(qid, src, dst, mr)`` → ``(qid, answer)``.
+        Raises ValueError if some ``mr`` is not a minimum repeat of length <= k."""
+        check_query_constraints(queries, self.k)
         hit = (
             queries.join(self.df, ["src", "dst", "mr"], "leftsemi")
             .select("qid")

@@ -8,9 +8,10 @@ The index of Definition 4 is two entry tables
 with ``mr`` a :data:`repro.core.labels.SEP`-encoded minimum repeat. A batch
 of RLC queries is answered with the equi-joins of Definition 4: Case 2 is a
 join on the full triple, Case 1 joins ``L_out(src)`` and ``L_in(dst)`` on the
-(hub, mr) pair — the distributed analogue of Algorithm 1's merge join.
-:func:`covered_pairs` is shared with the index builder, where the identical
-computation implements pruning rule PR1 against the current index snapshot.
+(hub, mr) pair — the distributed analogue of Algorithm 1 with the ``mr``
+filter in the join key. :func:`covered_pairs` is shared with the index
+builder, where the identical computation implements pruning rule PR1 against
+the current index snapshot.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from pyspark.sql import DataFrame, SparkSession, functions as F
 from pyspark.sql.types import LongType, StringType, StructField, StructType
 
-from repro.core.labels import decode
+from repro.core.labels import check_constraint, decode
 from repro.core.sequential import SequentialRlcIndex
 
 ENTRY_SCHEMA = StructType(
@@ -33,6 +34,14 @@ ENTRY_SCHEMA = StructType(
 
 def empty_entries(spark: SparkSession) -> DataFrame:
     return spark.createDataFrame([], ENTRY_SCHEMA)
+
+
+def check_query_constraints(queries: DataFrame, k: int) -> None:
+    """Apply :func:`repro.core.labels.check_constraint` to every distinct
+    ``mr`` of a query table, so a batch with an unsupported constraint raises
+    ValueError instead of answering False."""
+    for r in queries.select("mr").distinct().collect():
+        check_constraint(decode(r.mr), k)
 
 
 def covered_pairs(
@@ -92,15 +101,18 @@ class RlcIndex:
         return int(a + b)
 
     def query_batch(self, queries: DataFrame) -> DataFrame:
-        """Answer a batch of queries ``(qid, src, dst, mr)`` → ``(qid, answer)``."""
+        """Answer a batch of queries ``(qid, src, dst, mr)`` → ``(qid, answer)``.
+        Raises ValueError if some ``mr`` is not a minimum repeat of length <= k."""
+        check_query_constraints(queries, self.k)
         hit = covered_pairs(queries, self.l_out, self.l_in).select("qid").distinct()
         return queries.select("qid").join(
             hit.withColumn("answer", F.lit(True)), "qid", "left"
         ).fillna(False, subset=["answer"])
 
     def to_driver(self) -> SequentialRlcIndex:
-        """Collect into a driver-side index sharing Algorithm 1's merge-join
-        query path (used for per-query latency benchmarks)."""
+        """Collect into a driver-side :class:`SequentialRlcIndex`, whose
+        Algorithm 1 is a hash probe on ``(vertex, mr)`` (used for per-query
+        latency benchmarks)."""
         aid = {r.id: r.aid for r in self.rank.collect()}
         out_entries = [(r.vertex, r.hub, decode(r.mr)) for r in self.l_out.collect()]
         in_entries = [(r.vertex, r.hub, decode(r.mr)) for r in self.l_in.collect()]

@@ -71,6 +71,18 @@ def is_primitive(seq: Sequence[str]) -> bool:
     return len(seq) > 0 and mr(seq) == tuple(seq)
 
 
+def check_constraint(constraint: Sequence[str], k: int) -> Seq:
+    """Validate the constraint ``L`` of an RLC query ``(s, t, L+)`` against an
+    index built with recursive-concatenation bound ``k``: ``L`` must be a
+    minimum repeat (``L == MR(L)``, so non-empty) of length ``<= k``. Returns
+    ``L`` as a tuple; raises ValueError otherwise, since no index entry can
+    answer such a query."""
+    L = tuple(constraint)
+    if len(L) > k or not is_primitive(L):
+        raise ValueError(f"constraint {L!r} must be a minimum repeat of length <= k={k}")
+    return L
+
+
 def power_exponent(seq: Sequence[str]) -> tuple[Seq, int]:
     """Return ``(MR(seq), z)`` with ``seq == MR(seq) ** z``."""
     m = mr(seq)

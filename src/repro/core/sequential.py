@@ -1,11 +1,18 @@
 """Faithful single-machine reference implementation of the RLC index.
 
-This module mirrors the paper's Algorithm 1 (query, merge join over entry
-lists sorted by access id) and Algorithm 2 (indexing via backward/forward
-kernel-based search with pruning rules PR1/PR2/PR3). It is the correctness
-anchor for the distributed builder and also the per-query-latency subject for
-the Table V benchmarks (the paper's implementation is single-threaded Java;
-this is its Python twin).
+This module mirrors the paper's Algorithm 1 (query) and Algorithm 2
+(indexing via backward/forward kernel-based search with pruning rules
+PR1/PR2/PR3). It is the correctness anchor for the distributed builder and
+also the per-query-latency subject for the Table V benchmarks (the paper's
+implementation is single-threaded Java; this is its Python twin).
+
+Entries are stored per vertex as ``{mr: set(hub)}``. Algorithm 1 walks two
+entry lists sorted by access id and matches ``(hub, mr)`` pairs; only
+``mr == L`` can ever match, so here the ``mr`` filter is pushed down to a
+hash probe on ``(vertex, mr)``: Case 2 is a set membership test and Case 1 a
+set intersection. The paper's sorted lists are a storage layout and change no
+answer. The kernel-BFS reads a label-partitioned adjacency, so it touches
+only the edges whose label the state machine expects.
 
 Two ambiguities in the paper's pseudocode are resolved as follows (both are
 forced by Theorem 3 / Lemma 5 — see DESIGN.md §3):
@@ -30,13 +37,18 @@ transitive closure of the exact-``L``-path hop relation.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from collections import defaultdict, deque
+from dataclasses import dataclass
 from typing import Iterable
 
-from repro.core.labels import Seq, is_primitive, mr
+from repro.core.labels import Seq, check_constraint, encode, is_primitive, mr
 
 Adjacency = dict[int, list[tuple[str, int]]]
+#: Per-vertex entries ``{vertex: {mr: {hub}}}`` (one of L_out / L_in).
+Entries = dict[int, dict[Seq, set[int]]]
+
+_NOTHING: dict = {}
+_NO_HUBS: frozenset[int] = frozenset()
 
 
 def inout_order(out_adj: Adjacency, in_adj: Adjacency) -> dict[int, int]:
@@ -50,6 +62,27 @@ def inout_order(out_adj: Adjacency, in_adj: Adjacency) -> dict[int, int]:
     return {v: i + 1 for i, v in enumerate(scored)}
 
 
+def label_partition(adj: Adjacency) -> dict[int, dict[str, list[int]]]:
+    """``{vertex: {label: [neighbour]}}`` from an adjacency list."""
+    out: dict[int, dict[str, list[int]]] = {}
+    for x, nbrs in adj.items():
+        by_label = out[x] = {}
+        for lbl, y in nbrs:
+            by_label.setdefault(lbl, []).append(y)
+    return out
+
+
+@dataclass
+class BuildStats:
+    """Pruning-rule firings and recorded entries of one Algorithm 2 run."""
+
+    pr1_probes: int = 0  #: PR1 queries against the current index
+    pr1_prunes: int = 0  #: probes answered true, so no entry was recorded
+    pr2_prunes: int = 0  #: inserts skipped because aid(root) > aid(vertex)
+    pr3_cuts: int = 0  #: kernel-BFS completions not expanded after a prune
+    entries: int = 0  #: entries recorded
+
+
 class SequentialRlcIndex:
     """The RLC index of Definition 4, built by the paper's Algorithm 2."""
 
@@ -58,10 +91,9 @@ class SequentialRlcIndex:
         self.out_adj = out_adj
         self.in_adj = in_adj
         self.aid = inout_order(out_adj, in_adj)
-        # Entry lists per vertex, kept sorted by (aid(hub), mr) so Algorithm 1
-        # is a real merge join (the paper stores entries sorted by access id).
-        self.l_out: dict[int, list[tuple[int, Seq, int]]] = defaultdict(list)
-        self.l_in: dict[int, list[tuple[int, Seq, int]]] = defaultdict(list)
+        self.l_out: Entries = {}
+        self.l_in: Entries = {}
+        self.stats = BuildStats()
         self._build()
 
     @classmethod
@@ -74,96 +106,95 @@ class SequentialRlcIndex:
     ) -> "SequentialRlcIndex":
         """Wrap already-built entries ``(vertex, hub, mr)`` (e.g. collected
         from a distributed :class:`repro.core.index.RlcIndex`) so Algorithm 1
-        runs on them without rebuilding."""
+        runs on them without rebuilding. ``stats`` stays all zero."""
         self = object.__new__(cls)
         self.k = k
         self.out_adj = {}
         self.in_adj = {}
         self.aid = aid
-        self.l_out = defaultdict(list)
-        self.l_in = defaultdict(list)
-        for v, h, m in out_entries:
-            self.l_out[v].append((aid[h], m, h))
-        for v, h, m in in_entries:
-            self.l_in[v].append((aid[h], m, h))
-        for d in (self.l_out, self.l_in):
-            for es in d.values():
-                es.sort()
+        self.l_out = {}
+        self.l_in = {}
+        self.stats = BuildStats()
+        for store, rows in ((self.l_out, out_entries), (self.l_in, in_entries)):
+            for v, h, m in rows:
+                store.setdefault(v, {}).setdefault(m, set()).add(h)
         return self
 
     # -- Algorithm 1 -------------------------------------------------------
     def query(self, s: int, t: int, constraint: Iterable[str]) -> bool:
-        """Evaluate the RLC query ``(s, t, constraint+)``; Algorithm 1."""
-        L = tuple(constraint)
-        if not is_primitive(L) or len(L) > self.k:
-            raise ValueError(f"constraint must be a minimum repeat of length <= k={self.k}")
-        out_s = self.l_out.get(s, [])
-        in_t = self.l_in.get(t, [])
-        # Case 2 of Definition 4: direct entries (binary search, lists sorted).
-        if _contains(out_s, (self.aid.get(t), L, t)) or _contains(
-            in_t, (self.aid.get(s), L, s)
-        ):
-            return True
-        # Case 1: merge join on (aid, mr) restricted to mr == L.
-        i = j = 0
-        while i < len(out_s) and j < len(in_t):
-            ki, kj = out_s[i][:2], in_t[j][:2]
-            if ki == kj:
-                if ki[1] == L:
-                    return True
-                i += 1
-                j += 1
-            elif ki < kj:
-                i += 1
-            else:
-                j += 1
-        return False
+        """Evaluate the RLC query ``(s, t, constraint+)``; Algorithm 1.
+        Raises ValueError unless the constraint is a minimum repeat of
+        length <= k."""
+        return self._reach(s, t, check_constraint(constraint, self.k))
+
+    def _reach(self, s: int, t: int, L: Seq) -> bool:
+        """Algorithm 1 for a constraint already known to be valid."""
+        out_s = self.l_out.get(s, _NOTHING).get(L, _NO_HUBS)
+        in_t = self.l_in.get(t, _NOTHING).get(L, _NO_HUBS)
+        # Case 2 of Definition 4: a direct entry; Case 1: a common hub.
+        return t in out_s or s in in_t or not out_s.isdisjoint(in_t)
 
     def entries(self) -> tuple[dict[int, set[tuple[int, Seq]]], dict[int, set[tuple[int, Seq]]]]:
         """Index contents as ``{vertex: {(hub, mr)}}`` for L_out and L_in."""
-        return (
-            {v: {(h, m) for _, m, h in es} for v, es in self.l_out.items() if es},
-            {v: {(h, m) for _, m, h in es} for v, es in self.l_in.items() if es},
+        return tuple(
+            {v: {(h, m) for m, hubs in by_mr.items() for h in hubs} for v, by_mr in store.items()}
+            for store in (self.l_out, self.l_in)
         )
 
     def entry_count(self) -> int:
-        return sum(len(v) for v in self.l_out.values()) + sum(len(v) for v in self.l_in.values())
+        return sum(
+            len(hubs) for store in (self.l_out, self.l_in)
+            for by_mr in store.values() for hubs in by_mr.values()
+        )
 
     def size_bytes(self) -> int:
         """Storage estimate matching RlcIndex.size_bytes: 8-byte vertex id +
-        the mr label bytes per entry (Table IV's IS column)."""
-        total = 0
-        for d in (self.l_out, self.l_in):
-            for es in d.values():
-                for _, m, _ in es:
-                    total += 8 + len(",".join(m))
-        return total
+        the encoded mr bytes per entry (Table IV's IS column)."""
+        return sum(
+            (8 + len(encode(m))) * len(hubs) for store in (self.l_out, self.l_in)
+            for by_mr in store.values() for m, hubs in by_mr.items()
+        )
 
     # -- Algorithm 2 -------------------------------------------------------
     def _build(self) -> None:
         order = sorted(self.aid, key=self.aid.get)
+        in_by_label = label_partition(self.in_adj)
+        out_by_label = label_partition(self.out_adj)
+        mr_memo: dict[Seq, Seq] = {}
         for v in order:
-            self._kbs(v, backward=True)
-            self._kbs(v, backward=False)
+            self._kbs(v, True, in_by_label, mr_memo)
+            self._kbs(v, False, out_by_label, mr_memo)
 
     def _insert(self, visited: int, root: int, L: Seq, backward: bool) -> bool:
         """Paper's ``insert``: PR2 then PR1, else record. Returns True iff
         the entry was recorded (False means a pruning rule fired)."""
+        stats = self.stats
         if self.aid[root] > self.aid[visited]:  # PR2
+            stats.pr2_prunes += 1
             return False
+        stats.pr1_probes += 1
         s, t = (visited, root) if backward else (root, visited)
-        if self.query(s, t, L):  # PR1 (also dedups identical entries)
+        if self._reach(s, t, L):  # PR1 (also dedups identical entries)
+            stats.pr1_prunes += 1
             return False
-        if backward:  # (root, L) into L_out(visited)
-            insort(self.l_out[visited], (self.aid[root], L, root))
-        else:  # (root, L) into L_in(visited)
-            insort(self.l_in[visited], (self.aid[root], L, root))
+        # backward: (root, L) into L_out(visited); forward: into L_in(visited)
+        store = self.l_out if backward else self.l_in
+        store.setdefault(visited, {}).setdefault(L, set()).add(root)
+        stats.entries += 1
         return True
 
-    def _kbs(self, root: int, backward: bool) -> None:
+    def _kbs(
+        self,
+        root: int,
+        backward: bool,
+        by_label: dict[int, dict[str, list[int]]],
+        mr_memo: dict[Seq, Seq],
+    ) -> None:
         """One kernel-based search from ``root`` (§V-B): kernel-search to
         depth ``k`` (all paths, no traversal pruning) then one kernel-BFS per
-        kernel candidate with PR3."""
+        kernel candidate with PR3. ``by_label`` is the search direction's
+        adjacency partitioned by label; ``mr_memo`` caches ``mr`` for the
+        whole build."""
         adj = self.in_adj if backward else self.out_adj
         k = self.k
         # --- kernel-search: BFS over (vertex, seq), deduplicated ----------
@@ -179,7 +210,9 @@ class SequentialRlcIndex:
                     if key in seen:
                         continue
                     seen.add(key)
-                    L = mr(seq2)
+                    L = mr_memo.get(seq2)
+                    if L is None:
+                        L = mr_memo[seq2] = mr(seq2)
                     self._insert(y, root, L, backward)
                     # Every sequence is an exact power of its MR: y seeds the
                     # kernel-BFS of kernel candidate L.
@@ -197,23 +230,15 @@ class SequentialRlcIndex:
             while queue:
                 x, j = queue.popleft()
                 expect = L[j - 1] if backward else L[m - j]
-                for lbl, y in adj.get(x, ()):
-                    if lbl != expect:
-                        continue
-                    j2 = m if j == 1 else j - 1
+                j2 = m if j == 1 else j - 1
+                for y in by_label.get(x, _NOTHING).get(expect, ()):
                     if (y, j2) in visited:
                         continue
                     if j == 1 and not self._insert(y, root, L, backward):
+                        self.stats.pr3_cuts += 1
                         continue  # PR3: pruned completion — skip y entirely
                     visited.add((y, j2))
                     queue.append((y, j2))
-
-
-def _contains(entries: list[tuple[int, Seq, int]], key: tuple) -> bool:
-    if key[0] is None:
-        return False
-    i = bisect_left(entries, key)
-    return i < len(entries) and entries[i] == key
 
 
 # ---------------------------------------------------------------------------

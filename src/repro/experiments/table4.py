@@ -15,6 +15,7 @@ Three builders per graph analog:
 from __future__ import annotations
 
 import time
+from dataclasses import asdict
 
 from pyspark.sql import SparkSession
 
@@ -73,6 +74,7 @@ def run(
         row["rlc_seq_it"] = time.monotonic() - t0
         row["rlc_seq_entries"] = seq.entry_count()
         row["rlc_seq_mb"] = seq.size_bytes() / 1e6
+        row["rlc_seq_stats"] = asdict(seq.stats)
 
         if name in distributed_names:
             t0 = time.monotonic()
@@ -114,6 +116,12 @@ def format_table(rows: list[dict]) -> str:
             f"{r['name']:<6} | {r['rlc_seq_it']:>10.1f} {r['rlc_seq_mb']:>11.2f}"
             f" {r['rlc_seq_entries']:>9} | {etc_it:>10} {etc_mb:>11}"
             f" | {p_rlc_it:>14.1f}/{p_rlc_is:>7.1f} | {p_etc}"
+        )
+        st = r["rlc_seq_stats"]
+        lines.append(
+            f"{'':<6} |   [sequential build: PR1 probes={st['pr1_probes']} "
+            f"prunes={st['pr1_prunes']} PR2 prunes={st['pr2_prunes']} "
+            f"PR3 cuts={st['pr3_cuts']} entries={st['entries']}]"
         )
         if "rlc_dist_it" in r:
             lines.append(

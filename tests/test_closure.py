@@ -108,6 +108,16 @@ def test_etc_index_interfaces(spark, fig2, fig2_closure):
     assert "l2,l1" in driver[(3, 6)]
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [(1, 5, ("l1", "l1")), (3, 1, ("l1", "l2", "l1"))],  # non-primitive; |L| > k
+)
+def test_etc_query_batch_rejects_invalid_constraint(spark, fig2_closure, bad):
+    queries = queries_to_df(spark, [(1, 2, ("l1",)), bad])
+    with pytest.raises(ValueError):
+        EtcIndex(fig2_closure, 2).query_batch(queries)
+
+
 def test_budget_rows_exceeded(spark, fig2):
     with pytest.raises(BudgetExceeded):
         concise_closure(fig2, 2, budget=Budget(max_rows=5))

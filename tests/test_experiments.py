@@ -28,8 +28,12 @@ def test_table4_run_tiny(spark):
     )
     (row,) = rows
     assert row["rlc_seq_entries"] > 0
+    stats = row["rlc_seq_stats"]
+    assert stats["entries"] == row["rlc_seq_entries"]
+    assert stats["pr1_probes"] == stats["entries"] + stats["pr1_prunes"]
     assert row["etc_it"] is not None and row["etc_entries"] > row["rlc_seq_entries"]
-    assert "Table IV" in table4.format_table(rows)
+    out = table4.format_table(rows)
+    assert "Table IV" in out and f"entries={row['rlc_seq_entries']}]" in out
 
 
 def test_table4_etc_budget_exhaustion(spark):

@@ -70,6 +70,21 @@ def test_batch_queries_match_closure(spark, fig2_dist_index, fig2_truth):
         assert ans[qid] == ((s, t, L) in fig2_truth), (s, t, L)
 
 
+#: Unsupported constraints with a witness path on Fig. 2 (k=2): the batch
+#: must raise, not answer False.
+BAD_FIG2_QUERIES = [
+    (1, 5, ("l1", "l1")),        # not a minimum repeat: v1 -l1-> v2 -l1-> v5
+    (3, 1, ("l1", "l2", "l1")),  # |L| > k: v3 -l1-> v2 -l2-> v5 -l1-> v1
+]
+
+
+@pytest.mark.parametrize("bad", BAD_FIG2_QUERIES)
+def test_batch_query_rejects_invalid_constraint(spark, fig2_dist_index, bad):
+    qdf = queries_to_df(spark, [(1, 2, ("l1",)), bad])
+    with pytest.raises(ValueError):
+        fig2_dist_index.query_batch(qdf)
+
+
 def test_entries_sound(fig2_dist_index, fig2_truth):
     truth = {(s, t, encode(L)) for s, t, L in fig2_truth}
     for r in fig2_dist_index.l_out.collect():
@@ -92,6 +107,12 @@ def test_index_much_smaller_than_closure(fig2_small_batch_index, fig2_truth):
 
 def test_size_bytes_positive(fig2_dist_index):
     assert fig2_dist_index.size_bytes() >= 10 * fig2_dist_index.entry_count()
+
+
+def test_driver_counts_match_spark(fig2_dist_index):
+    drv = fig2_dist_index.to_driver()
+    assert drv.entry_count() == fig2_dist_index.entry_count()
+    assert drv.size_bytes() == fig2_dist_index.size_bytes()
 
 
 def test_small_batches_equivalent(fig2_small_batch_index, fig2_truth):

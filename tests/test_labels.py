@@ -111,6 +111,13 @@ def test_k_mr_bound():
     assert lab.k_mr(("a", "b", "c"), 3) == ("a", "b", "c")
 
 
+def test_check_constraint():
+    assert lab.check_constraint(["a", "b"], 2) == ("a", "b")
+    for bad, k in ((("a", "a"), 2), (("a", "b", "c"), 2), ((), 2)):
+        with pytest.raises(ValueError):
+            lab.check_constraint(bad, k)
+
+
 def test_power_exponent():
     assert lab.power_exponent(("a", "b", "a", "b")) == (("a", "b"), 2)
     assert lab.power_exponent(("a",)) == (("a",), 1)

@@ -83,6 +83,7 @@ def test_table2_entry_count(fig2_index):
         (6, 1, ("l1",), False),      # v6 has no out-edges
         (4, 6, ("l3",), True),
         (3, 4, ("l2",), True),       # covered via Case 1 (hub v1)
+        (99, 1, ("l1",), False),     # unknown vertex
     ],
 )
 def test_paper_example_queries(fig2_index, s, t, L, expected):
@@ -146,14 +147,35 @@ def test_entries_are_sound(seed):
             assert (hub, v, L) in closure
 
 
-def test_from_entries_roundtrip(fig2_index):
-    lo, li = fig2_index.entries()
+def test_build_stats_on_fig2(fig2_index):
+    stats = fig2_index.stats
+    assert stats.entries == fig2_index.entry_count() == 26
+    assert stats.pr1_probes == stats.entries + stats.pr1_prunes
+    assert stats.pr1_prunes > 0 and stats.pr2_prunes > 0 and stats.pr3_cuts > 0
+
+
+def _roundtrip_case(seed):
+    if seed == "fig2":
+        out_adj, in_adj = fig2_adjacency()
+        return out_adj, in_adj, ["l1", "l2", "l3"], 2
+    return seeded_graph(seed)
+
+
+@pytest.mark.parametrize("seed", ["fig2", *range(8)])
+def test_from_entries_roundtrip(seed):
+    # from_entries is the path RlcIndex.to_driver takes: the wrapped entries
+    # must read back, count, size and answer exactly like the built index.
+    out_adj, in_adj, labels, k = _roundtrip_case(seed)
+    idx = SequentialRlcIndex(out_adj, in_adj, k)
+    lo, li = idx.entries()
     out_entries = [(v, h, m) for v, es in lo.items() for h, m in es]
     in_entries = [(v, h, m) for v, es in li.items() for h, m in es]
-    clone = SequentialRlcIndex.from_entries(fig2_index.aid, 2, out_entries, in_entries)
-    for s, t, L in query_universe(7, all_mrs(["l1", "l2", "l3"], 2)):
-        if s and t:
-            assert clone.query(s, t, L) == fig2_index.query(s, t, L)
+    clone = SequentialRlcIndex.from_entries(idx.aid, k, out_entries, in_entries)
+    assert clone.entries() == (lo, li)
+    assert clone.entry_count() == idx.entry_count()
+    assert clone.size_bytes() == idx.size_bytes()
+    for s, t, L in query_universe(max(out_adj) + 1, all_mrs(labels, k)):
+        assert clone.query(s, t, L) == idx.query(s, t, L), (s, t, L)
 
 
 def test_index_smaller_than_closure_on_fig2(fig2_index):
