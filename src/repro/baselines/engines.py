@@ -29,6 +29,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, functions as F
 
 from repro.baselines.online import Nfa, batch_nfa_bfs, nfa_dfs
+from repro.core.closure import Budget, semi_naive
 from repro.core.graph import LabeledGraph
 from repro.core.labels import encode
 from repro.core.sequential import Adjacency, SequentialRlcIndex
@@ -48,47 +49,50 @@ class DuckDbEngine:
 
     @staticmethod
     def _hop_sql(L: Sequence[str]) -> str:
-        """SELECT producing the exact-``L``-path hop relation (src, dst)."""
-        joins = []
-        for i, lbl in enumerate(L):
-            joins.append(f"edges e{i}")
-        cond = [f"e{i}.dst = e{i+1}.src" for i in range(len(L) - 1)]
-        cond += [f"e{i}.label = '{lbl}'" for i, lbl in enumerate(L)]
+        """SELECT producing the exact-``L``-path hop relation (src, dst); the
+        ``i``-th label is bound to the parameter ``$l{i}``."""
+        n = len(L)
+        cond = [f"e{i}.dst = e{i+1}.src" for i in range(n - 1)]
+        cond += [f"e{i}.label = $l{i}" for i in range(n)]
         return (
-            f"SELECT e0.src AS src, e{len(L)-1}.dst AS dst FROM "
-            + ", ".join(joins)
+            f"SELECT e0.src AS src, e{n-1}.dst AS dst FROM "
+            + ", ".join(f"edges e{i}" for i in range(n))
             + " WHERE "
             + " AND ".join(cond)
         )
 
     def evaluate(self, s: int, t: int, spec: QuerySpec) -> bool:
+        # Labels and vertex ids are bound as parameters, never spliced into
+        # the SQL text, so any label string is safe.
+        params = {"s": s, "t": t}
         if spec[0] == "plus":
             L = spec[1]
+            params.update({f"l{i}": lbl for i, lbl in enumerate(L)})
             sql = f"""
             WITH RECURSIVE hop AS ({self._hop_sql(L)}),
             reach(v) AS (
-              SELECT dst FROM hop WHERE src = {s}
+              SELECT dst FROM hop WHERE src = $s
               UNION
               SELECT hop.dst FROM reach JOIN hop ON hop.src = reach.v
             )
-            SELECT 1 FROM reach WHERE v = {t} LIMIT 1
+            SELECT 1 FROM reach WHERE v = $t LIMIT 1
             """
         else:
-            _, a, b = spec
-            sql = f"""
+            _, params["a"], params["b"] = spec
+            sql = """
             WITH RECURSIVE ra(v) AS (
-              SELECT dst FROM edges WHERE src = {s} AND label = '{a}'
+              SELECT dst FROM edges WHERE src = $s AND label = $a
               UNION
-              SELECT e.dst FROM ra JOIN edges e ON e.src = ra.v AND e.label = '{a}'
+              SELECT e.dst FROM ra JOIN edges e ON e.src = ra.v AND e.label = $a
             ),
             rb(v) AS (
-              SELECT e.dst FROM edges e JOIN ra ON e.src = ra.v AND e.label = '{b}'
+              SELECT e.dst FROM edges e JOIN ra ON e.src = ra.v AND e.label = $b
               UNION
-              SELECT e.dst FROM rb JOIN edges e ON e.src = rb.v AND e.label = '{b}'
+              SELECT e.dst FROM rb JOIN edges e ON e.src = rb.v AND e.label = $b
             )
-            SELECT 1 FROM rb WHERE v = {t} LIMIT 1
+            SELECT 1 FROM rb WHERE v = $t LIMIT 1
             """
-        return len(self.con.execute(sql).fetchall()) > 0
+        return len(self.con.execute(sql, params).fetchall()) > 0
 
 
 class PythonTraversalEngine:
@@ -120,34 +124,32 @@ class SparkSqlEngine:
                 [(0, s, t, encode(spec[1]))], "qid long, src long, dst long, mr string"
             )
             return batch_nfa_bfs(self.graph, q).collect()[0].answer
-        # a+ . b+ : reach_a from s, then reach_b from there, iterative joins.
-        _, a, b = spec
-        e = self.graph.edges
-        ea = e.where(F.col("label") == a).select(F.col("src").alias("u"), F.col("dst").alias("v"))
-        eb = e.where(F.col("label") == b).select(F.col("src").alias("u"), F.col("dst").alias("v"))
-
-        def closure_from(seed: DataFrame, hop: DataFrame) -> DataFrame:
-            reach = seed.distinct().localCheckpoint()
-            frontier = reach
-            while True:
-                nxt = (
-                    frontier.join(hop, F.col("x") == F.col("u"))
-                    .select(F.col("v").alias("x"))
-                    .distinct()
-                    .join(reach, "x", "left_anti")
-                    .localCheckpoint()
-                )
-                if nxt.isEmpty():
-                    return reach
-                reach = reach.unionByName(nxt).localCheckpoint()
-                frontier = nxt
-
-        ra = closure_from(ea.where(F.col("u") == s).select(F.col("v").alias("x")), ea)
-        rb_seed = (
-            ra.join(eb, F.col("x") == F.col("u")).select(F.col("v").alias("x")).distinct()
+        # a+ . b+ : one semi-naive fixpoint over the (vertex, NFA state)
+        # pairs reachable from (s, start) in the graph x NFA product.
+        nfa = Nfa.concat_plus(spec[1], spec[2])
+        moves = self.spark.createDataFrame(
+            [(q, lbl, q2) for (q, lbl), succ in nfa.trans.items() for q2 in succ],
+            "_q int, label string, _q2 int",
         )
-        rb = closure_from(rb_seed, eb)
-        return not rb.where(F.col("x") == t).isEmpty()
+        hop = (
+            self.graph.edges.join(moves, "label")
+            .select(F.col("src").alias("_v"), "_q", F.col("dst").alias("_w"), "_q2")
+            .localCheckpoint()
+        )
+
+        def step(d: DataFrame) -> DataFrame:
+            return d.join(
+                hop, (F.col("vertex") == F.col("_v")) & (F.col("state") == F.col("_q"))
+            ).select(F.col("_w").alias("vertex"), F.col("_q2").alias("state"))
+
+        # Built in the JVM: every round's anti-join re-reads the seed, and a
+        # createDataFrame seed would be re-read through a Python worker.
+        seed = self.spark.range(1).select(
+            F.lit(s).cast("long").alias("vertex"), F.lit(nfa.start).alias("state")
+        )
+        reached = semi_naive(seed, step, Budget().start(), "SparkSqlEngine(Q4)")
+        hit = reached.where((F.col("vertex") == t) & F.col("state").isin(*nfa.accept))
+        return bool(hit.take(1))
 
 
 def rlc_eval(

@@ -14,18 +14,20 @@ Three implementations:
   strongest online baseline); frontiers meet when forward progress ``i`` and
   backward progress ``j`` align (``(i + j) mod m == 0``) at the same vertex;
 - :func:`batch_nfa_bfs` — the BFS baseline as distributed dataflow: one
-  frontier DataFrame carrying every query in the workload at once.
+  semi-naive fixpoint carrying every query in the workload at once.
 """
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from pyspark.sql import DataFrame, functions as F
 
-from repro.core.closure import Budget
+from repro.core.closure import Budget, semi_naive
 from repro.core.graph import LabeledGraph
+from repro.core.labels import SEP
 from repro.core.sequential import Adjacency
 
 
@@ -62,40 +64,36 @@ class Nfa:
         return self.trans.get((q, label), frozenset())
 
 
-def nfa_bfs(out_adj: Adjacency, s: int, t: int, nfa: Nfa) -> bool:
-    """Product-state BFS; true iff some path from ``s`` to ``t`` spells a
-    word the NFA accepts (>= 1 edge)."""
+def _nfa_search(out_adj: Adjacency, s: int, t: int, nfa: Nfa, lifo: bool) -> bool:
+    """Product-state search over ``(vertex, state)``, popping the newest
+    configuration (``lifo``, DFS) or the oldest (BFS); true iff some path
+    from ``s`` to ``t`` spells a word the NFA accepts (>= 1 edge)."""
     start = (s, nfa.start)
     visited = {start}
-    queue = deque([start])
-    while queue:
-        v, q = queue.popleft()
+    todo = deque([start])
+    pop = todo.pop if lifo else todo.popleft
+    while todo:
+        v, q = pop()
         for lbl, w in out_adj.get(v, ()):
             for q2 in nfa.step(q, lbl):
                 if w == t and q2 in nfa.accept:
                     return True
                 if (w, q2) not in visited:
                     visited.add((w, q2))
-                    queue.append((w, q2))
+                    todo.append((w, q2))
     return False
+
+
+def nfa_bfs(out_adj: Adjacency, s: int, t: int, nfa: Nfa) -> bool:
+    """Product-state BFS; true iff some path from ``s`` to ``t`` spells a
+    word the NFA accepts (>= 1 edge)."""
+    return _nfa_search(out_adj, s, t, nfa, lifo=False)
 
 
 def nfa_dfs(out_adj: Adjacency, s: int, t: int, nfa: Nfa) -> bool:
     """Depth-first variant (same product-state memoization); the paper notes
     DFS as the same-complexity alternative — our Sys2 engine stand-in."""
-    start = (s, nfa.start)
-    visited = {start}
-    stack = [start]
-    while stack:
-        v, q = stack.pop()
-        for lbl, w in out_adj.get(v, ()):
-            for q2 in nfa.step(q, lbl):
-                if w == t and q2 in nfa.accept:
-                    return True
-                if (w, q2) not in visited:
-                    visited.add((w, q2))
-                    stack.append((w, q2))
-    return False
+    return _nfa_search(out_adj, s, t, nfa, lifo=True)
 
 
 def bibfs(out_adj: Adjacency, in_adj: Adjacency, s: int, t: int, L: Sequence[str]) -> bool:
@@ -150,32 +148,28 @@ def batch_nfa_bfs(
 ) -> DataFrame:
     """Distributed NFA-guided BFS for a whole workload of ``L+`` queries.
 
-    ``queries``: ``(qid, src, dst, mr)``. One frontier DataFrame carries all
-    queries: rows ``(qid, vertex, pos)`` where ``pos`` = labels consumed mod
-    ``m``; each iteration joins the frontier with the (label-partitioned)
-    edge table on the next expected label. Returns ``(qid, answer)``.
+    ``queries``: ``(qid, src, dst, mr)``. One :func:`semi_naive` fixpoint
+    carries all queries: rows ``(qid, vertex, pos)`` where ``pos`` = labels
+    consumed mod ``m``; each round joins the new rows with the
+    (label-partitioned) edge table on the next expected label. Reaching the
+    target with ``pos = 0`` emits the marker row ``pos = -1`` instead, and
+    the next round drops every row of a query with a marker, so answered
+    queries stop exploring. Returns ``(qid, answer)``.
     """
     budget = (budget or Budget(max_iterations=10_000)).start()
-    spark = graph.edges.sparkSession
     e = graph.edges.select(F.col("src").alias("_at"), "label", F.col("dst").alias("_to"))
     q = queries.select(
         "qid",
         F.col("dst").alias("_target"),
-        F.split("mr", ",").alias("_labels"),
-        F.size(F.split("mr", ",")).alias("_m"),
-    ).localCheckpoint()
-    frontier = (
-        queries.select("qid", F.col("src").alias("vertex"), F.lit(0).alias("pos"))
-        .distinct()
-        .localCheckpoint()
-    )
-    visited = frontier
-    answered = spark.createDataFrame([], "qid long").localCheckpoint()
-    it = 0
-    while True:
-        it += 1
-        stepped = (
-            frontier.join(q, "qid")
+        F.split("mr", re.escape(SEP)).alias("_labels"),
+    ).withColumn("_m", F.size("_labels")).localCheckpoint()
+
+    def step(delta: DataFrame) -> DataFrame:
+        answered = delta.where(F.col("pos") < 0).select("qid")
+        nxt = (F.col("pos") + 1) % F.col("_m")
+        return (
+            delta.join(answered, "qid", "left_anti")
+            .join(q, "qid")
             .join(
                 e,
                 (F.col("vertex") == F.col("_at"))
@@ -184,26 +178,19 @@ def batch_nfa_bfs(
             .select(
                 "qid",
                 F.col("_to").alias("vertex"),
-                ((F.col("pos") + 1) % F.col("_m")).alias("pos"),
-                (
-                    (F.col("_to") == F.col("_target"))
-                    & (((F.col("pos") + 1) % F.col("_m")) == 0)
-                ).alias("_hit"),
+                F.when((F.col("_to") == F.col("_target")) & (nxt == 0), -1)
+                .otherwise(nxt)
+                .alias("pos"),
             )
-            .distinct()
         )
-        hits = stepped.where("_hit").select("qid").distinct()
-        answered = answered.unionByName(hits).distinct().localCheckpoint()
-        frontier = (
-            stepped.select("qid", "vertex", "pos")
-            .join(visited, ["qid", "vertex", "pos"], "left_anti")
-            .join(answered, "qid", "left_anti")  # stop exploring answered queries
-            .localCheckpoint()
-        )
-        if frontier.isEmpty():
-            break
-        visited = visited.unionByName(frontier).localCheckpoint()
-        budget.check(visited.count(), it, "batch_nfa_bfs")
-    return queries.select("qid").join(
-        answered.withColumn("answer", F.lit(True)), "qid", "left"
-    ).fillna(False, subset=["answer"])
+
+    seed = (
+        queries.select("qid", F.col("src").alias("vertex"), F.lit(0).alias("pos"))
+        .distinct()
+        .localCheckpoint()
+    )
+    reached = semi_naive(seed, step, budget, "batch_nfa_bfs")
+    answered = reached.where(F.col("pos") < 0).select("qid", F.lit(True).alias("answer"))
+    return queries.select("qid").join(answered, "qid", "left").fillna(
+        False, subset=["answer"]
+    )

@@ -21,10 +21,12 @@ materialized pairs and report "-" instead of hanging.
 """
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Callable
 
 from pyspark.sql import DataFrame, functions as F
 from pyspark.sql.types import BooleanType, StringType
@@ -44,6 +46,11 @@ class BudgetExceeded(RuntimeError):
 
 @dataclass
 class Budget:
+    """Caps on an offline computation. ``max_seconds`` runs from
+    :meth:`start` over the whole computation; ``max_rows`` and
+    ``max_iterations`` bound the rows and rounds of each semi-naive fixpoint
+    (:func:`semi_naive`) the computation runs."""
+
     max_seconds: float | None = None
     max_rows: int | None = None
     max_iterations: int = 1000
@@ -53,12 +60,17 @@ class Budget:
         return self
 
     def check(self, rows: int, iteration: int, what: str) -> None:
+        """Raise BudgetExceeded naming ``what``, the round reached and the
+        rows so far once a cap is passed."""
         if self.max_seconds is not None and time.monotonic() - self._t0 > self.max_seconds:
-            raise BudgetExceeded(f"{what}: exceeded {self.max_seconds}s")
-        if self.max_rows is not None and rows > self.max_rows:
-            raise BudgetExceeded(f"{what}: exceeded {self.max_rows} rows ({rows})")
-        if iteration > self.max_iterations:
-            raise BudgetExceeded(f"{what}: exceeded {self.max_iterations} iterations")
+            cap = f"{self.max_seconds}s"
+        elif self.max_rows is not None and rows > self.max_rows:
+            cap = f"{self.max_rows} rows"
+        elif iteration > self.max_iterations:
+            cap = f"{self.max_iterations} rounds"
+        else:
+            return
+        raise BudgetExceeded(f"{what}: exceeded {cap} at round {iteration} with {rows} rows")
 
     @contextmanager
     def enforce(self, spark, what: str):
@@ -127,42 +139,55 @@ def mr_hops(graph: LabeledGraph, k: int) -> DataFrame:
     )
 
 
+def semi_naive(
+    seed: DataFrame,
+    step: Callable[[DataFrame], DataFrame],
+    budget: Budget,
+    what: str,
+) -> DataFrame:
+    """The least ``X = seed ∪ step(X)`` by semi-naive evaluation (Bancilhon &
+    Ramakrishnan, SIGMOD 1986): each round applies ``step`` to the rows new
+    in the previous round only, then ``distinct``, drops the rows already
+    known (anti-join on every column) and checkpoints the rest; the fixpoint
+    is reached when a round adds no row. ``seed`` must be duplicate-free;
+    checkpoint it first if it is costly to recompute. Every round is counted
+    once and checked against ``budget`` with the running row total.
+    """
+    known = delta = seed
+    total = seed.count()
+    for rounds in itertools.count(1):
+        delta = step(delta).distinct().join(known, seed.columns, "left_anti").localCheckpoint()
+        n = delta.count()
+        total += n
+        budget.check(total, rounds, what)
+        if n == 0:
+            # The union keeps every round's partitions; coalesce so that
+            # later scans do not pay one task per round and partition.
+            return known.coalesce(known.sparkSession.sparkContext.defaultParallelism)
+        known = known.unionByName(delta)
+
+
 def concise_closure(
     graph: LabeledGraph, k: int, budget: Budget | None = None
 ) -> DataFrame:
-    """The concise transitive closure ``{(src, dst, mr)}`` = ETC contents.
-
-    Semi-naive iteration: ``delta' = delta ⋈ R`` (extend by one primitive
-    hop) minus known, until empty. Returns a localCheckpoint'ed DataFrame.
-    """
+    """The concise transitive closure ``{(src, dst, mr)}`` = ETC contents:
+    the :func:`semi_naive` fixpoint of ``delta ⋈ R`` (extend by one primitive
+    hop) seeded with the hops themselves. Lineage is checkpointed."""
     budget = (budget or Budget()).start()
     spark = graph.edges.sparkSession
-    with budget.enforce(spark, "concise_closure(ETC)"):
+    what = "concise_closure(ETC)"
+    with budget.enforce(spark, what):
         hops = mr_hops(graph, k).localCheckpoint()
         r = hops.select(
             F.col("mr").alias("_m"), F.col("src").alias("_s"), F.col("dst").alias("_d")
         )
-        closure = hops
-        delta = hops
-        total = closure.count()
-        it = 0
-        while True:
-            it += 1
-            new = (
-                delta.join(r, (delta["mr"] == F.col("_m")) & (delta["dst"] == F.col("_s")))
-                .select(delta["mr"], delta["src"], F.col("_d").alias("dst"))
-                .distinct()
-            )
-            delta = new.join(closure, ["mr", "src", "dst"], "left_anti").localCheckpoint()
-            n = delta.count()
-            if n == 0:
-                break
-            old = closure
-            closure = closure.unionByName(delta).localCheckpoint()
-            old.unpersist()
-            total += n
-            budget.check(total, it, "concise_closure(ETC)")
-    return closure
+
+        def step(delta: DataFrame) -> DataFrame:
+            return delta.join(
+                r, (delta["mr"] == F.col("_m")) & (delta["dst"] == F.col("_s"))
+            ).select(delta["mr"], delta["src"], F.col("_d").alias("dst"))
+
+        return semi_naive(hops, step, budget, what)
 
 
 class EtcIndex:

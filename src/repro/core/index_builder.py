@@ -28,6 +28,13 @@ geometrically growing batches; all roots of a batch search simultaneously
   to enumerate *other* kernels — disappears: each ``mr``'s BFS is already
   independent.)
 
+**One fixpoint.** Each batch and direction is the shared semi-naive fixpoint
+(:func:`repro.core.closure.semi_naive`, the same loop as the ETC closure)
+over *recorded* entries: seed ``prune(roots ⋈ hop)``, step ``prune(delta ⋈
+hop)``. Because PR1/PR2 are a row filter against the fixed pre-batch
+snapshot, a pruned candidate is dropped wherever it is reached, which gives
+the entries of a BFS that also remembers pruned vertices.
+
 With batch size 1 this matches the sequential algorithm's pruning power;
 larger batches trade bounded intra-batch redundancy (batch-mates cannot
 prune each other) for parallelism. Tests cross-validate answers against the
@@ -37,7 +44,7 @@ from __future__ import annotations
 
 from pyspark.sql import DataFrame, SparkSession, functions as F
 
-from repro.core.closure import Budget, mr_hops
+from repro.core.closure import Budget, mr_hops, semi_naive
 from repro.core.graph import LabeledGraph
 from repro.core.index import RlcIndex, covered_pairs, empty_entries
 
@@ -75,27 +82,21 @@ def build_rlc_index(
     )
     l_out = empty_entries(spark).localCheckpoint()
     l_in = empty_entries(spark).localCheckpoint()
-    step = 0
     pos = 0
-    for bsize in batch_schedule(len(order), first_batch, batch_cap):
+    for batch, bsize in enumerate(batch_schedule(len(order), first_batch, batch_cap)):
         roots = spark.createDataFrame(
             [(v,) for v in order[pos : pos + bsize]], "root long"
         )
         pos += bsize
-        new_out, step = _pruned_hop_bfs(hop_b, roots, l_out, l_in, rank, True, budget, step)
-        new_in, step = _pruned_hop_bfs(hop_f, roots, l_out, l_in, rank, False, budget, step)
+        new_out = _pruned_hop_bfs(hop_b, roots, l_out, l_in, rank, True, budget, batch)
+        new_in = _pruned_hop_bfs(hop_f, roots, l_out, l_in, rank, False, budget, batch)
         # Entries land after both phases: PR1 sees only the pre-batch state.
-        old_out, old_in = l_out, l_in
         l_out = l_out.unionByName(
             new_out.select("vertex", F.col("root").alias("hub"), "mr")
         ).localCheckpoint()
         l_in = l_in.unionByName(
             new_in.select("vertex", F.col("root").alias("hub"), "mr")
         ).localCheckpoint()
-        for df in (old_out, old_in, new_out, new_in):
-            df.unpersist()
-        step += 1
-        budget.check(l_out.count() + l_in.count(), step, "build_rlc_index")
     return RlcIndex(k=k, l_out=l_out, l_in=l_in, rank=rank)
 
 
@@ -130,46 +131,26 @@ def _pruned_hop_bfs(
     rank: DataFrame,
     backward: bool,
     budget: Budget,
-    step: int,
-) -> tuple[DataFrame, int]:
-    """BFS over the hop relation from all roots at once with PR1–PR3.
+    batch: int,
+) -> DataFrame:
+    """BFS over the hop relation from all roots at once with PR1–PR3: the
+    :func:`semi_naive` fixpoint over *recorded* entries ``(root, vertex, mr)``.
 
-    Returns recorded entries ``(root, vertex, mr)`` and the step counter.
+    PR1/PR2 (:func:`_prune`) filter each candidate against the fixed
+    pre-batch snapshot, so a pruned candidate is dropped wherever it is
+    reached; PR3 holds because a round expands recorded entries only.
     """
-    spark = hop.sparkSession
-    frontier = (
-        roots.join(hop, roots["root"] == F.col("_at"))
-        .select("root", F.col("_hm").alias("mr"), F.col("_to").alias("vertex"))
-        .distinct()
-        .localCheckpoint()
+
+    def step(rec: DataFrame) -> DataFrame:
+        cand = rec.join(
+            hop, (F.col("vertex") == F.col("_at")) & (F.col("mr") == F.col("_hm"))
+        ).select("root", "mr", F.col("_to").alias("vertex"))
+        return _prune(cand, l_out, l_in, rank, backward)
+
+    # Duplicate-free as the fixpoint needs: hop rows are, and roots are distinct.
+    first = roots.join(hop, roots["root"] == F.col("_at")).select(
+        "root", F.col("_hm").alias("mr"), F.col("_to").alias("vertex")
     )
-    visited = frontier
-    recorded = spark.createDataFrame([], "root long, vertex long, mr string")
-    rec_parts: list[DataFrame] = []
-    while not frontier.isEmpty():
-        step += 1
-        rec = _prune(frontier, l_out, l_in, rank, backward).localCheckpoint()
-        rec_parts.append(rec)
-        # PR3: only vertices whose entry was recorded keep expanding.
-        nxt = (
-            rec.join(hop, (F.col("vertex") == F.col("_at")) & (F.col("mr") == F.col("_hm")))
-            .select("root", "mr", F.col("_to").alias("vertex"))
-            .distinct()
-            .join(visited, ["root", "mr", "vertex"], "left_anti")
-            .localCheckpoint()
-        )
-        old_visited, old_frontier = visited, frontier
-        visited = visited.unionByName(nxt).localCheckpoint()
-        old_visited.unpersist()
-        old_frontier.unpersist()
-        frontier = nxt
-        budget.check(visited.count(), step, "pruned_hop_bfs")
-    if rec_parts:
-        out = rec_parts[0]
-        for p in rec_parts[1:]:
-            out = out.unionByName(p)
-        recorded = out.distinct().localCheckpoint()
-        for p in rec_parts:
-            p.unpersist()
-    visited.unpersist()
-    return recorded, step
+    seed = _prune(first, l_out, l_in, rank, backward).localCheckpoint()
+    what = f"build_rlc_index(batch {batch}, {'L_out' if backward else 'L_in'})"
+    return semi_naive(seed, step, budget, what)

@@ -119,10 +119,21 @@ def test_etc_query_batch_rejects_invalid_constraint(spark, fig2_closure, bad):
 
 
 def test_budget_rows_exceeded(spark, fig2):
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(
+        BudgetExceeded, match=r"^concise_closure\(ETC\): exceeded 5 rows at round 1 with \d+ rows$"
+    ):
         concise_closure(fig2, 2, budget=Budget(max_rows=5))
+
+
+def test_budget_rounds_bound_one_fixpoint(spark, fig2):
+    with pytest.raises(
+        BudgetExceeded, match=r"^concise_closure\(ETC\): exceeded 1 rounds at round 2 with \d+ rows$"
+    ):
+        concise_closure(fig2, 2, budget=Budget(max_iterations=1))
 
 
 def test_budget_time_exceeded(spark, fig2):
     with pytest.raises(BudgetExceeded):
         concise_closure(fig2, 2, budget=Budget(max_seconds=0.0))
+    # The cancelled job group leaves the session usable.
+    assert spark.range(3).count() == 3

@@ -91,5 +91,42 @@ def test_spark_sql_engine(spark, truth):
 
 def test_spark_sql_engine_q4(spark, fig2_driver):
     eng = SparkSqlEngine(fig2_graph(spark))
-    want = brute_concat_plus(fig2_driver[0], 3, 1, "l2", "l1")
-    assert eng.evaluate(3, 1, ("concat_plus", "l2", "l1")) == want
+    # (s, t, a, b, answer) on Fig. 2, with s == t cases, a == b and false cases.
+    cases = [
+        (3, 1, "l2", "l1", True),
+        (1, 1, "l2", "l1", True),
+        (3, 6, "l2", "l3", True),
+        (1, 5, "l1", "l1", True),
+        (1, 6, "l1", "l2", False),
+        (2, 2, "l1", "l2", False),
+    ]
+    for s, t, a, b, want in cases:
+        assert brute_concat_plus(fig2_driver[0], s, t, a, b) == want, (s, t, a, b)
+        assert eng.evaluate(s, t, ("concat_plus", a, b)) == want, (s, t, a, b)
+
+
+def test_duckdb_engine_quoted_labels():
+    """Labels with quotes (one of them SQL that would match every label if
+    spliced into the query text) answer exactly like the Python engine."""
+    import pandas as pd
+
+    q, inj = "it's", "x' OR 'a'='a"
+    edges = [(1, q, 2), (2, q, 3), (3, inj, 1), (2, "l1", 4)]
+    out_adj = {v: [] for v in range(1, 5)}
+    for s, lbl, t in edges:
+        out_adj[s].append((lbl, t))
+    py = PythonTraversalEngine(out_adj)
+    eng = DuckDbEngine(pd.DataFrame(edges, columns=["src", "label", "dst"]))
+    try:
+        assert eng.evaluate(1, 3, ("plus", (q,)))
+        assert not eng.evaluate(2, 4, ("plus", (inj,)))
+        assert eng.evaluate(1, 1, ("concat_plus", q, inj))
+        assert not eng.evaluate(2, 2, ("concat_plus", q, q))
+        specs = [("plus", (q,)), ("plus", (inj,)), ("plus", (q, inj)),
+                 ("concat_plus", q, inj), ("concat_plus", inj, q)]
+        for s in range(1, 5):
+            for t in range(1, 5):
+                for spec in specs:
+                    assert eng.evaluate(s, t, spec) == py.evaluate(s, t, spec), (s, t, spec)
+    finally:
+        eng.close()

@@ -7,6 +7,7 @@ entry is sound (appears in the closure)."""
 import pytest
 from pyspark.sql import functions as F
 
+from repro.core.closure import Budget, BudgetExceeded
 from repro.core.index import RlcIndex, covered_pairs, empty_entries
 from repro.core.index_builder import batch_schedule, build_rlc_index
 from repro.core.graph import LabeledGraph
@@ -113,6 +114,14 @@ def test_driver_counts_match_spark(fig2_dist_index):
     drv = fig2_dist_index.to_driver()
     assert drv.entry_count() == fig2_dist_index.entry_count()
     assert drv.size_bytes() == fig2_dist_index.size_bytes()
+
+
+def test_build_budget_rows_exceeded(spark, fig2):
+    with pytest.raises(
+        BudgetExceeded,
+        match=r"^build_rlc_index\(batch 0, L_out\): exceeded 1 rows at round 1 with \d+ rows$",
+    ):
+        build_rlc_index(fig2, 2, budget=Budget(max_rows=1))
 
 
 def test_small_batches_equivalent(fig2_small_batch_index, fig2_truth):
